@@ -10,10 +10,13 @@ Two mechanisms, layered on the reference :class:`Interpreter`:
 
 2. **Basic-block closure compilation.** Straight-line runs of
    register-only instructions (see :data:`repro.isa.cfg.FUSEABLE_OPS`)
-   are compiled -- via one ``exec`` of generated source per program --
-   into a single closure that executes the whole run in one call and
-   retires its cycles/instret in one update.  ``step_fast()``
-   dispatches through these blocks.
+   are compiled into a single closure that executes the whole run in
+   one call and retires its cycles/instret in one update.
+   ``step_fast()`` dispatches through these blocks.  A block table's
+   generated source is compiled once per process: the code object is
+   kept in :data:`block_code_cache`, keyed on the program's content
+   and every compile-time input of the emitter, and each interpreter
+   ``exec``s it into a namespace bound to its own core and memory.
 
 Semantics are *identical* to the reference backend by construction
 (DESIGN.md, "Dual-backend equivalence invariant"):
@@ -45,6 +48,8 @@ the block compiler entirely still runs, just on predecoded dispatch.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.cpu.exceptions import FaultKind, ProgramExit, SimFault
 from repro.cpu.interpreter import Interpreter
 from repro.cpu.timing import PREDICATED_SKIP_COST
@@ -59,6 +64,11 @@ _SP = Reg.SP
 # Upper bound on instructions stitched into one superblock trace
 # (compile-time source-size control; semantics are cap-independent).
 _TRACE_CAP = 64
+
+# Compiled block tables kept per process.  A program needs two (taken
+# and sandboxed); eight cover the working set of the paper's batches,
+# which run each program for every input and mode before moving on.
+_BLOCK_CACHE_SIZE = 8
 
 
 def _is_reg(value):
@@ -589,11 +599,26 @@ class _BlockCompiler:
         # one built from the same config, so the geometry constants
         # bound here stay valid.
         self.line_shift = None
+        self.cache_hit = None
         if self.has_cache:
             line_words = interp.cache.line_words
             if line_words > 0 and line_words & (line_words - 1) == 0:
                 self.line_shift = line_words.bit_length() - 1
                 self.cache_hit = interp.cache.hit_latency
+
+    def cache_key(self):
+        """The :data:`block_code_cache` key of this compiler's table.
+
+        Every input the emitted source depends on, and nothing tied to
+        one run: the program's content (which also fixes the block
+        partition for a given op tier, i.e. ``has_det``) and each
+        constant baked into the source.  The engine mode is not an
+        input -- all modes emit identical tables.
+        """
+        return (self.interp.program.digest, self.has_det, self.has_cache,
+                self.inline_read, self.line_shift, self.cache_hit,
+                self.l1_hit, tuple(sorted(self.cost.items())), _TRACE_CAP,
+                self.sandboxed)
 
     # ------------------------------------------------------------------
 
@@ -989,12 +1014,79 @@ class _BlockCompiler:
 
 
 # ======================================================================
+# process-wide block-code cache
+
+
+class _CompiledTable:
+    """One block table's compiled code, free of any interpreter.
+
+    ``entries`` maps leaders to the block functions the code defines,
+    ``extras`` holds the constants it reads as globals (partial-sum
+    and pc tables, branch instructions), ``runs`` the partition it was
+    compiled from (shared with the table's taken/sandboxed sibling).
+    """
+
+    __slots__ = ('code', 'entries', 'extras', 'runs')
+
+    def __init__(self, code, entries, extras, runs):
+        self.code = code
+        self.entries = entries
+        self.extras = extras
+        self.runs = runs
+
+
+class BlockCodeCache:
+    """LRU map from :meth:`_BlockCompiler.cache_key` to
+    :class:`_CompiledTable`, with hit/miss counters.
+
+    Only successful builds are stored, so a failed compile is retried
+    (and fails or succeeds afresh) on the next run.
+    """
+
+    def __init__(self, size):
+        self.size = size
+        self._tables = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self):
+        return len(self._tables)
+
+    def get(self, key):
+        table = self._tables.get(key)
+        if table is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self._tables.move_to_end(key)
+        return table
+
+    def peek(self, key):
+        """Like :meth:`get`, without touching counters or recency."""
+        return self._tables.get(key)
+
+    def put(self, key, table):
+        self._tables[key] = table
+        self._tables.move_to_end(key)
+        while len(self._tables) > self.size:
+            self._tables.popitem(last=False)
+
+    def clear(self):
+        self._tables.clear()
+        self.hits = 0
+        self.misses = 0
+
+
+block_code_cache = BlockCodeCache(_BLOCK_CACHE_SIZE)
+
+
+# ======================================================================
 
 
 class FastInterpreter(Interpreter):
     """Drop-in replacement for :class:`Interpreter` (same contract)."""
 
-    __slots__ = ('_n', '_ops', '_fast', '_fast_nt', '_runs', '_ref_thunk',
+    __slots__ = ('_n', '_ops', '_fast', '_fast_nt', '_ref_thunk',
                  'block_compile_failed', 'block_count', 'nt_block_count',
                  '_fault_hook')
 
@@ -1011,7 +1103,6 @@ class FastInterpreter(Interpreter):
         self._ops = [None] * self._n
         self._fast = None
         self._fast_nt = None
-        self._runs = None
         self._ref_thunk = None
         self.block_compile_failed = False
         self.block_count = 0
@@ -1153,24 +1244,53 @@ class FastInterpreter(Interpreter):
         return ops
 
     def _build_fast_table(self, sandboxed=False):
-        """Compile one block table -- taken-path or sandboxed NT-path.
+        """Install one block table -- taken-path or sandboxed NT-path.
 
-        Both variants are compiled from the same CFG partitioning
-        (computed once and cached on ``_runs``); only the store/budget
-        emission differs (see :class:`_BlockCompiler`).
+        The compiled code comes from :data:`block_code_cache` when this
+        process already built the same table (see
+        :meth:`_BlockCompiler.cache_key`); otherwise it is emitted,
+        compiled and cached.  Either way it is ``exec``-ed into a fresh
+        namespace bound to this interpreter.  Both variants share one
+        CFG partitioning; only the store/budget emission differs (see
+        :class:`_BlockCompiler`).
         """
+        compiler = _BlockCompiler(self, sandboxed=sandboxed)
+        key = compiler.cache_key()
         table = [None] * self._n
+        count = 0
+        try:
+            compiled = block_code_cache.get(key)
+            fresh = compiled is None
+            if fresh:
+                compiled = self._compile_table(compiler, key)
+            namespace = self._block_namespace(compiler)
+            namespace.update(compiled.extras)
+            exec(compiled.code, namespace)
+            for leader, name in compiled.entries:
+                table[leader] = namespace[name]
+            count = len(compiled.entries)
+            if fresh:
+                block_code_cache.put(key, compiled)
+        except Exception:
+            # Automatic fallback: run on predecoded dispatch only.
+            self.block_compile_failed = True
+            table = [None] * self._n
         if sandboxed:
             self._fast_nt = table
+            self.nt_block_count = count
         else:
             self._fast = table
-        runs = self._runs
-        if runs is None:
-            runs = self._runs = basic_runs(self.program,
-                                           self._block_ops())
-        compiler = _BlockCompiler(
-            self, sandboxed=sandboxed,
-            runs_map={l: (c, t) for l, c, t in runs})
+            self.block_count = count
+        return table
+
+    def _compile_table(self, compiler, key):
+        """Emit and ``compile()`` the table ``key`` names."""
+        # The other variant of the same table (``sandboxed`` is the
+        # key's last field) was compiled from the same partition.
+        sibling = block_code_cache.peek(key[:-1] + (not key[-1],))
+        runs = sibling.runs if sibling is not None \
+            else basic_runs(self.program, self._block_ops())
+        compiler.runs_map = {l: (c, t) for l, c, t in runs}
         sources = []
         entries = []
         extras = {}
@@ -1185,48 +1305,34 @@ class FastInterpreter(Interpreter):
             sources.append(src)
             entries.append((leader, name))
             extras.update(extra)
-        if not sources:
-            return table
+        filename = '<fastblocks%s:%s>' % (
+            '-nt' if compiler.sandboxed else '', self.program.name)
+        code = compile('\n'.join(sources), filename, 'exec')
+        return _CompiledTable(code, tuple(entries), extras, runs)
+
+    def _block_namespace(self, compiler):
+        """Globals binding a table's code to this interpreter."""
+        memory = self.memory
         namespace = {
             '_core': self.core,
             '_interp': self,
             '_fb': self._step_at,
             '_SimFault': SimFault,
             '_FK': FaultKind,
-            '_stk': self.memory.stack_limit,
-            '_rd': self.memory.read,
-            '_wr': self.memory.write,
+            '_stk': memory.stack_limit,
+            '_rd': memory.read,
+            '_wr': memory.write,
         }
         if compiler.inline_read:
-            namespace['_cells'] = self.memory.cells
-            namespace['_msize'] = self.memory.size
-            if sandboxed:
-                namespace['_jl'] = self.memory.nt_journal
-                namespace['_mb'] = self.memory.monitor_base
-                namespace['_ml'] = self.memory.monitor_limit
+            namespace['_cells'] = memory.cells
+            namespace['_msize'] = memory.size
+            if compiler.sandboxed:
+                namespace['_jl'] = memory.nt_journal
+                namespace['_mb'] = memory.monitor_base
+                namespace['_ml'] = memory.monitor_limit
             else:
-                namespace['_mem'] = self.memory
+                namespace['_mem'] = memory
         if self.detector is not None:
             namespace['_dl'] = self.detector.on_load
             namespace['_ds'] = self.detector.on_store
-        namespace.update(extras)
-        filename = '<fastblocks%s:%s>' % ('-nt' if sandboxed else '',
-                                          self.program.name)
-        try:
-            exec(compile('\n'.join(sources), filename, 'exec'),
-                 namespace)
-            for leader, name in entries:
-                table[leader] = namespace[name]
-            if sandboxed:
-                self.nt_block_count = len(entries)
-            else:
-                self.block_count = len(entries)
-        except Exception:
-            # Automatic fallback: run on predecoded dispatch only.
-            self.block_compile_failed = True
-            table = [None] * self._n
-            if sandboxed:
-                self._fast_nt = table
-            else:
-                self._fast = table
-        return table
+        return namespace

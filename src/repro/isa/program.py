@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 
 
 class BranchEdge:
@@ -78,6 +79,7 @@ class Program:
         self.branch_edges = self._collect_edges()
         self.num_branches = sum(
             1 for instr in code if instr.op == 'br')
+        self._digest = None
 
     def _collect_edges(self):
         edges = []
@@ -86,6 +88,24 @@ class Program:
                 edges.append(BranchEdge(addr, True, instr.b))
                 edges.append(BranchEdge(addr, False, addr + 1))
         return edges
+
+    @property
+    def digest(self):
+        """sha256 hex digest of the program's executable content.
+
+        Covers the ``(op, a, b, c, pred)`` stream plus the entry and
+        function addresses (they seed the fast backend's block
+        leaders), so two programs with equal digests compile to the
+        same block code.  Computed once: a linked program is never
+        mutated.
+        """
+        if self._digest is None:
+            content = (
+                [(i.op, i.a, i.b, i.c, i.pred) for i in self.code],
+                self.entry, sorted(set(self.functions.values())))
+            self._digest = hashlib.sha256(
+                repr(content).encode()).hexdigest()
+        return self._digest
 
     @property
     def num_edges(self):

@@ -17,7 +17,8 @@ from repro.core.engine import PathExpanderEngine
 from repro.core.runner import run_program
 import repro.cpu.backend as backend_mod
 from repro.cpu.backend import make_interpreter
-from repro.cpu.fastinterp import FastInterpreter, _BlockCompiler
+from repro.cpu.fastinterp import (FastInterpreter, _BlockCompiler,
+                                  block_code_cache)
 from repro.cpu.interpreter import Interpreter
 from repro.isa.cfg import (BLOCK_OPS, FUSEABLE_OPS, TERMINATOR_OPS,
                            block_leaders, fuseable_run)
@@ -153,6 +154,10 @@ class TestBlockFusion:
         assert data['crash_kind'] == 'null_access'
 
     def test_block_compile_failure_falls_back(self, monkeypatch):
+        # An earlier test's cached table for this program would skip
+        # the patched emitter entirely.
+        block_code_cache.clear()
+
         def bad_compile(self, leader, count, terminator):
             return '_bad%d' % leader, 'def _bad%d(:\n' % leader, {}
         monkeypatch.setattr(_BlockCompiler, 'compile', bad_compile)
@@ -161,6 +166,13 @@ class TestBlockFusion:
         assert engine.interp.block_compile_failed
         assert engine.interp.block_count == 0
         assert result.int_output  # still ran, on predecoded dispatch
+        # A failed build is never cached: with the emitter restored the
+        # same program compiles.
+        monkeypatch.undo()
+        engine = _engine(_alu_block_program())
+        engine.run()
+        assert not engine.interp.block_compile_failed
+        assert engine.interp.block_count > 0
 
     def test_assert_fused_only_without_detector(self):
         code = [Instr('li', 1, 1), Instr('li', 2, 2),
