@@ -26,10 +26,9 @@ die because an optimisation could not be applied.
 
 from __future__ import annotations
 
+from repro.core.config import BACKEND_CHOICES
 from repro.cpu.fastinterp import FastInterpreter
 from repro.cpu.interpreter import Interpreter
-
-BACKENDS = ('reference', 'fast')
 
 _CLASSES = {
     'reference': Interpreter,
@@ -39,12 +38,12 @@ _CLASSES = {
 
 def make_interpreter(backend, program, memory, allocator, core, io,
                      costs, cache=None, detector=None, on_branch=None):
-    """Build the interpreter for ``backend`` (a name in ``BACKENDS``)."""
-    try:
-        cls = _CLASSES[backend]
-    except KeyError:
+    """Build the interpreter for ``backend``, one of
+    :data:`~repro.core.config.BACKEND_CHOICES`."""
+    if backend not in BACKEND_CHOICES:
         raise ValueError('unknown backend %r (expected one of %s)'
-                         % (backend, ', '.join(BACKENDS)))
+                         % (backend, ', '.join(BACKEND_CHOICES)))
+    cls = _CLASSES[backend]
     try:
         return cls(program, memory, allocator, core, io, costs,
                    cache=cache, detector=detector, on_branch=on_branch)

@@ -13,10 +13,13 @@ Two mechanisms, layered on the reference :class:`Interpreter`:
    are compiled into a single closure that executes the whole run in
    one call and retires its cycles/instret in one update.
    ``step_fast()`` dispatches through these blocks.  A block table's
-   generated source is compiled once per process: the code object is
-   kept in :data:`block_code_cache`, keyed on the program's content
-   and every compile-time input of the emitter, and each interpreter
-   ``exec``s it into a namespace bound to its own core and memory.
+   source is emitted once per process and kept in
+   :data:`block_code_cache`, keyed on the program's content and every
+   compile-time input of the emitter.  Blocks are compiled lazily: the
+   first dispatch of a leader compiles its block (once per process --
+   the code object is cached with the table) and binds it to a
+   namespace holding the interpreter's own core and memory, so only
+   blocks that actually run are ever compiled.
 
 Semantics are *identical* to the reference backend by construction
 (DESIGN.md, "Dual-backend equivalence invariant"):
@@ -49,6 +52,7 @@ the block compiler entirely still runs, just on predecoded dispatch.
 from __future__ import annotations
 
 from collections import OrderedDict
+from types import CodeType, FunctionType
 
 from repro.cpu.exceptions import FaultKind, ProgramExit, SimFault
 from repro.cpu.interpreter import Interpreter
@@ -1018,29 +1022,35 @@ class _BlockCompiler:
 
 
 class _CompiledTable:
-    """One block table's compiled code, free of any interpreter.
+    """One block table, free of any interpreter.
 
-    ``entries`` maps leaders to the block functions the code defines,
-    ``extras`` holds the constants it reads as globals (partial-sum
-    and pc tables, branch instructions), ``runs`` the partition it was
-    compiled from (shared with the table's taken/sandboxed sibling).
+    ``blocks`` maps each leader to its emitted ``(name, source,
+    extras)`` -- ``extras`` being the constants the block reads as
+    globals (partial-sum and pc tables, branch instructions).
+    ``codes`` maps leaders to compiled function code objects; it fills
+    up as interpreters first dispatch each block, so a block is
+    compiled at most once per process however many runs reach it.
+    ``runs`` is the partition the table was emitted from (shared with
+    its taken/sandboxed sibling).
     """
 
-    __slots__ = ('code', 'entries', 'extras', 'runs')
+    __slots__ = ('blocks', 'codes', 'runs', 'filename')
 
-    def __init__(self, code, entries, extras, runs):
-        self.code = code
-        self.entries = entries
-        self.extras = extras
+    def __init__(self, blocks, runs, filename):
+        self.blocks = blocks
+        self.codes = {}
         self.runs = runs
+        self.filename = filename
 
 
 class BlockCodeCache:
     """LRU map from :meth:`_BlockCompiler.cache_key` to
-    :class:`_CompiledTable`, with hit/miss counters.
+    :class:`_CompiledTable`, with hit/miss counters and a count of the
+    blocks compiled into its tables.
 
-    Only successful builds are stored, so a failed compile is retried
-    (and fails or succeeds afresh) on the next run.
+    A table whose block fails to compile is evicted (:meth:`discard`),
+    so a failed build is retried -- and fails or succeeds afresh -- on
+    the next run.
     """
 
     def __init__(self, size):
@@ -1048,6 +1058,7 @@ class BlockCodeCache:
         self._tables = OrderedDict()
         self.hits = 0
         self.misses = 0
+        self.compiled_blocks = 0
 
     def __len__(self):
         return len(self._tables)
@@ -1071,10 +1082,14 @@ class BlockCodeCache:
         while len(self._tables) > self.size:
             self._tables.popitem(last=False)
 
+    def discard(self, key):
+        self._tables.pop(key, None)
+
     def clear(self):
         self._tables.clear()
         self.hits = 0
         self.misses = 0
+        self.compiled_blocks = 0
 
 
 block_code_cache = BlockCodeCache(_BLOCK_CACHE_SIZE)
@@ -1086,9 +1101,9 @@ block_code_cache = BlockCodeCache(_BLOCK_CACHE_SIZE)
 class FastInterpreter(Interpreter):
     """Drop-in replacement for :class:`Interpreter` (same contract)."""
 
-    __slots__ = ('_n', '_ops', '_fast', '_fast_nt', '_ref_thunk',
-                 'block_compile_failed', 'block_count', 'nt_block_count',
-                 '_fault_hook')
+    __slots__ = ('_n', '_ops', '_fast', '_fast_nt', '_lazy', '_lazy_nt',
+                 '_ref_thunk', 'block_compile_failed', 'block_count',
+                 'nt_block_count', '_fault_hook')
 
     def __init__(self, program, memory, allocator, core, io, costs,
                  cache=None, detector=None, on_branch=None):
@@ -1099,10 +1114,15 @@ class FastInterpreter(Interpreter):
         # Lazily filled: decoding every address eagerly would penalise
         # short-lived interpreters (one is built per NT-path in the
         # detailed CMP engine).  The sandboxed block table is likewise
-        # only compiled once the first NT-path actually runs.
+        # only built once the first NT-path actually runs, and each
+        # block is only compiled once it is first dispatched.
         self._ops = [None] * self._n
         self._fast = None
         self._fast_nt = None
+        # Per block table: (compiled table, namespace, cache key) while
+        # its blocks may still be installed on first dispatch.
+        self._lazy = None
+        self._lazy_nt = None
         self._ref_thunk = None
         self.block_compile_failed = False
         self.block_count = 0
@@ -1220,9 +1240,17 @@ class FastInterpreter(Interpreter):
         return fn
 
     def _decode_into(self, table, pc):
-        fn = self._ops[pc]
+        """Fill ``table``'s empty slot at ``pc``: with the block that
+        ``pc`` leads, if any, else with the per-instruction closure."""
+        sandboxed = table is self._fast_nt
+        lazy = self._lazy_nt if sandboxed else self._lazy
+        fn = None
+        if lazy is not None and pc in lazy[0].blocks:
+            fn = self._install_block(lazy, table, pc, sandboxed)
         if fn is None:
-            fn = self._decode(pc)
+            fn = self._ops[pc]
+            if fn is None:
+                fn = self._decode(pc)
         table[pc] = fn
         return fn
 
@@ -1246,69 +1274,94 @@ class FastInterpreter(Interpreter):
     def _build_fast_table(self, sandboxed=False):
         """Install one block table -- taken-path or sandboxed NT-path.
 
-        The compiled code comes from :data:`block_code_cache` when this
-        process already built the same table (see
-        :meth:`_BlockCompiler.cache_key`); otherwise it is emitted,
-        compiled and cached.  Either way it is ``exec``-ed into a fresh
-        namespace bound to this interpreter.  Both variants share one
-        CFG partitioning; only the store/budget emission differs (see
+        The table starts empty.  Its emitted blocks come from
+        :data:`block_code_cache` when this process already built the
+        same table (see :meth:`_BlockCompiler.cache_key`); otherwise
+        they are emitted and cached.  Nothing is compiled here: each
+        block is compiled (or its cached code taken) and bound to this
+        interpreter the first time it is dispatched (see
+        :meth:`_install_block`).  Both variants share one CFG
+        partitioning; only the store/budget emission differs (see
         :class:`_BlockCompiler`).
         """
         compiler = _BlockCompiler(self, sandboxed=sandboxed)
         key = compiler.cache_key()
-        table = [None] * self._n
+        lazy = None
         count = 0
         try:
             compiled = block_code_cache.get(key)
-            fresh = compiled is None
-            if fresh:
-                compiled = self._compile_table(compiler, key)
-            namespace = self._block_namespace(compiler)
-            namespace.update(compiled.extras)
-            exec(compiled.code, namespace)
-            for leader, name in compiled.entries:
-                table[leader] = namespace[name]
-            count = len(compiled.entries)
-            if fresh:
+            if compiled is None:
+                compiled = self._emit_table(compiler, key)
                 block_code_cache.put(key, compiled)
+            lazy = (compiled, self._block_namespace(compiler), key)
+            count = len(compiled.blocks)
         except Exception:
             # Automatic fallback: run on predecoded dispatch only.
             self.block_compile_failed = True
-            table = [None] * self._n
+        table = [None] * self._n
         if sandboxed:
             self._fast_nt = table
+            self._lazy_nt = lazy
             self.nt_block_count = count
         else:
             self._fast = table
+            self._lazy = lazy
             self.block_count = count
         return table
 
-    def _compile_table(self, compiler, key):
-        """Emit and ``compile()`` the table ``key`` names."""
+    def _emit_table(self, compiler, key):
+        """Emit every block of the table ``key`` names."""
         # The other variant of the same table (``sandboxed`` is the
-        # key's last field) was compiled from the same partition.
+        # key's last field) was emitted from the same partition.
         sibling = block_code_cache.peek(key[:-1] + (not key[-1],))
         runs = sibling.runs if sibling is not None \
             else basic_runs(self.program, self._block_ops())
         compiler.runs_map = {l: (c, t) for l, c, t in runs}
-        sources = []
-        entries = []
-        extras = {}
+        blocks = {}
         for leader, count, terminator in runs:
             try:
-                compiled = compiler.compile(leader, count, terminator)
+                emitted = compiler.compile(leader, count, terminator)
             except Exception:
-                compiled = None
-            if compiled is None:
-                continue
-            name, src, extra = compiled
-            sources.append(src)
-            entries.append((leader, name))
-            extras.update(extra)
+                emitted = None
+            if emitted is not None:
+                blocks[leader] = emitted
         filename = '<fastblocks%s:%s>' % (
             '-nt' if compiler.sandboxed else '', self.program.name)
-        code = compile('\n'.join(sources), filename, 'exec')
-        return _CompiledTable(code, tuple(entries), extras, runs)
+        return _CompiledTable(blocks, runs, filename)
+
+    def _install_block(self, lazy, table, pc, sandboxed):
+        """The block ``pc`` leads, bound to this interpreter.
+
+        Compiled on its first dispatch in this process; later
+        interpreters bind the cached code object.  If it does not
+        compile, the whole table falls back as if it could not be built
+        (predecoded dispatch only, no block counted, nothing cached)
+        and None is returned.
+        """
+        compiled, namespace, key = lazy
+        name, source, extras = compiled.blocks[pc]
+        code = compiled.codes.get(pc)
+        if code is None:
+            try:
+                module = compile(source, compiled.filename, 'exec')
+                code = next(const for const in module.co_consts
+                            if isinstance(const, CodeType))
+            except Exception:
+                self.block_compile_failed = True
+                block_code_cache.discard(key)
+                # In place: the dispatch loop holds this table.
+                table[:] = [None] * self._n
+                if sandboxed:
+                    self._lazy_nt = None
+                    self.nt_block_count = 0
+                else:
+                    self._lazy = None
+                    self.block_count = 0
+                return None
+            compiled.codes[pc] = code
+            block_code_cache.compiled_blocks += 1
+        namespace.update(extras)
+        return FunctionType(code, namespace, name)
 
     def _block_namespace(self, compiler):
         """Globals binding a table's code to this interpreter."""

@@ -1,8 +1,10 @@
 """The fast backend's process-wide block-code cache.
 
 A cached block table must be indistinguishable from a freshly compiled
-one (warm == cold), and its key must name every compile-time input of
-the emitter: changing any one of them has to miss, never hit a table
+one (warm == cold), also when it is only partly warm -- blocks compile
+on first dispatch, so one run leaves compiled exactly the blocks it
+reached -- and its key must name every compile-time input of the
+emitter: changing any one of them has to miss, never hit a table
 compiled for different constants.
 """
 
@@ -14,6 +16,7 @@ from repro.core.config import Mode, PathExpanderConfig
 from repro.core.engine import PathExpanderEngine
 from repro.core.runner import make_detector, run_program
 from repro.cpu.fastinterp import FastInterpreter, block_code_cache
+from repro.cpu.syscalls import IOContext
 from repro.cpu.timing import CostModel
 from repro.memory.cache import Cache
 from repro.resilience import events
@@ -87,6 +90,45 @@ def test_hit_sets_block_counts():
     assert warm.interp.block_count == cold.interp.block_count
     assert warm.interp.nt_block_count == cold.interp.nt_block_count
     assert not warm.interp.block_compile_failed
+
+
+def _input_run(app_name, inputs, backend):
+    """One standard-mode run of ``app_name`` on ``inputs``; returns
+    its ``to_dict()`` and interpreter."""
+    app = get_app(app_name)
+    text, ints = inputs
+    config = app.make_config(Mode.STANDARD, backend=backend,
+                             max_instructions=_INSTR_CAP)
+    engine = PathExpanderEngine(_program(app_name), config=config,
+                                io=IOContext(text_input=text,
+                                             int_input=ints))
+    return engine.run().to_dict(), engine.interp
+
+
+def test_partly_warm_tables():
+    # bc_calc's seeded input 1 reaches blocks its default input never
+    # does, on the taken path or inside NT-paths.
+    app = get_app('bc_calc')
+    input_a, input_b = app.default_input(), app.random_input(1)
+    reference_b, _ = _input_run('bc_calc', input_b, 'reference')
+    events.clear()
+    block_code_cache.clear()
+    _, interp = _input_run('bc_calc', input_a, 'fast')
+    compiled_a = block_code_cache.compiled_blocks
+    # Lazy: run A compiled only the blocks it reached.
+    assert 0 < compiled_a < interp.block_count + interp.nt_block_count
+    # Run B reuses both tables A left partly compiled and compiles the
+    # blocks only it reaches.
+    data_b, _ = _input_run('bc_calc', input_b, 'fast')
+    assert data_b == reference_b
+    assert block_code_cache.misses == 2
+    assert block_code_cache.compiled_blocks > compiled_a
+    # Repeating B finds every block it reaches compiled.
+    compiled_b = block_code_cache.compiled_blocks
+    data_b, _ = _input_run('bc_calc', input_b, 'fast')
+    assert data_b == reference_b
+    assert block_code_cache.compiled_blocks == compiled_b
+    assert events.recent('degraded_to_reference') == []
 
 
 def test_mode_is_not_in_the_key():

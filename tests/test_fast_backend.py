@@ -24,6 +24,7 @@ from repro.isa.cfg import (BLOCK_OPS, FUSEABLE_OPS, TERMINATOR_OPS,
                            block_leaders, fuseable_run)
 from repro.isa.instructions import Instr, Reg, Syscall
 from repro.isa.program import Program
+from repro.resilience import events
 
 
 def _prog(code, functions=None, entry=0, globals_size=64):
@@ -215,6 +216,35 @@ class TestNTBlocks:
         assert data['nt_spawned'] > 0
         assert engine.interp.nt_block_count > 0
         assert not engine.interp.block_compile_failed
+
+    def test_sandboxed_block_compile_failure_falls_back(self,
+                                                       monkeypatch):
+        # Only the NT-path table fails to compile, on its first block
+        # dispatch inside an NT-path: that table drops to predecoded
+        # dispatch mid-run and the run still finishes on the fast
+        # backend, identical to the reference.
+        block_code_cache.clear()
+        emit = _BlockCompiler.compile
+
+        def bad_sandboxed_compile(self, leader, count, terminator):
+            if not self.sandboxed:
+                return emit(self, leader, count, terminator)
+            return '_bad%d' % leader, 'def _bad%d(:\n' % leader, {}
+        monkeypatch.setattr(_BlockCompiler, 'compile',
+                            bad_sandboxed_compile)
+        body = [Instr('li', 4, 0)]
+        body += [Instr('add', 4, 4, 1)] * 6
+        program = _nt_program(body + [Instr('jmp', 8)])
+        events.clear()
+        engine = _engine(program, mode='standard', max_nt_path_length=50)
+        data = engine.run().to_dict()
+        reference = run_program(program, config=PathExpanderConfig(
+            mode='standard', backend='reference', max_nt_path_length=50))
+        assert data == reference.to_dict()
+        assert data['nt_spawned'] > 0
+        assert engine.interp.nt_block_count == 0
+        assert engine.interp.block_compile_failed
+        assert events.recent('degraded_to_reference') == []
 
     def test_mid_nt_fault_terminates_path_only(self):
         # div-by-zero inside a fused NT block: the path counts a crash
