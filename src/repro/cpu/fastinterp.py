@@ -593,8 +593,9 @@ class _BlockCompiler:
         self.has_det = interp.detector is not None
         self.has_cache = interp.cache is not None
         self.l1_hit = interp.costs.l1_hit
-        # Plain MainMemory accesses can be inlined (bounds guard + list
-        # index); the detailed-CMP memory views cannot.
+        # Plain MainMemory accesses can be inlined (bounds guard + one
+        # subscript of the sparse cells); the detailed-CMP memory views
+        # cannot.
         self.inline_read = type(interp.memory) is MainMemory
         # The cache's last-line memo can be inlined too (one compare
         # chain instead of a method call) when the line size is a power
@@ -790,8 +791,9 @@ class _BlockCompiler:
         """Source reading memory at ``_a`` into ``_v``.
 
         With plain MainMemory the bounds guard is inlined and the
-        read is a list index; the guarded fallback call raises the
-        exact reference fault (NULL_ACCESS/MEM_OOB) for bad addresses.
+        read subscripts the sparse cells (an absent word reads 0); the
+        guarded fallback call raises the exact reference fault
+        (NULL_ACCESS/MEM_OOB) for bad addresses.
         """
         if self.inline_read:
             return ['if _a < %d or _a >= _msize:' % NULL_GUARD,

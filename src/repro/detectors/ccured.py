@@ -23,48 +23,31 @@ class CCuredDetector(Detector):
         self.free_check_cost = free_check_cost
         self._logic = None
         self.checks_performed = 0
-        # Single-entry classification memo for addresses outside the
-        # heap region: globals layout and region bounds are fixed for
-        # the run, so their classification never changes and a hot
-        # loop touching one word costs two compares, not a classify.
-        # Heap addresses are never memoised (malloc/free move them
-        # between object/red-zone/freed states).
-        self._memo_addr = None
-        self._memo_kind = None
-        self._heap_base = 0
+        # Stack accesses (at or above ``stack_limit``) are unchecked,
+        # so the hooks answer them with one compare; everything else
+        # goes to ``MemoryCheckLogic.access_kind``.
         self._stack_limit = 0
 
     def attach(self, program, memory, allocator):
         self._logic = MemoryCheckLogic(program, memory, allocator)
-        self._heap_base = allocator.heap_base
         self._stack_limit = memory.stack_limit
 
     def on_load(self, addr, value, interp):
         self.checks_performed += 1
-        if addr == self._memo_addr:
-            kind = self._memo_kind
-        else:
-            kind = self._logic.classify(addr)
-            if not self._heap_base <= addr < self._stack_limit:
-                self._memo_addr = addr
-                self._memo_kind = kind
-        if kind is not None \
-                and (kind, interp.core.pc) not in self._seen_sites:
-            self._report_access(kind, interp, 'load', addr)
+        if addr < self._stack_limit:
+            kind = self._logic.access_kind(addr)
+            if kind is not None \
+                    and (kind, interp.core.pc) not in self._seen_sites:
+                self._report_access(kind, interp, 'load', addr)
         return self.check_cost
 
     def on_store(self, addr, value, interp):
         self.checks_performed += 1
-        if addr == self._memo_addr:
-            kind = self._memo_kind
-        else:
-            kind = self._logic.classify(addr)
-            if not self._heap_base <= addr < self._stack_limit:
-                self._memo_addr = addr
-                self._memo_kind = kind
-        if kind is not None \
-                and (kind, interp.core.pc) not in self._seen_sites:
-            self._report_access(kind, interp, 'store', addr)
+        if addr < self._stack_limit:
+            kind = self._logic.access_kind(addr)
+            if kind is not None \
+                    and (kind, interp.core.pc) not in self._seen_sites:
+                self._report_access(kind, interp, 'store', addr)
         return self.check_cost
 
     def on_free(self, addr, ok, interp):

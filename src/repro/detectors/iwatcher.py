@@ -22,26 +22,15 @@ class IWatcherDetector(Detector):
         self.trigger_cost = trigger_cost
         self._logic = None
         self.triggers = 0
-        # Non-heap classification memo; see CCuredDetector for the
-        # safety argument (heap addresses are never memoised).
-        self._memo_addr = None
-        self._memo_kind = None
-        self._heap_base = 0
+        # Stack accesses are unchecked; see CCuredDetector.
         self._stack_limit = 0
 
     def attach(self, program, memory, allocator):
         self._logic = MemoryCheckLogic(program, memory, allocator)
-        self._heap_base = allocator.heap_base
         self._stack_limit = memory.stack_limit
 
     def _check(self, addr, interp, op):
-        if addr == self._memo_addr:
-            kind = self._memo_kind
-        else:
-            kind = self._logic.classify(addr)
-            if not self._heap_base <= addr < self._stack_limit:
-                self._memo_addr = addr
-                self._memo_kind = kind
+        kind = self._logic.access_kind(addr)
         if kind is None:
             return 0
         self.triggers += 1
@@ -49,9 +38,13 @@ class IWatcherDetector(Detector):
         return self.trigger_cost
 
     def on_load(self, addr, value, interp):
+        if addr >= self._stack_limit:
+            return 0
         return self._check(addr, interp, 'load')
 
     def on_store(self, addr, value, interp):
+        if addr >= self._stack_limit:
+            return 0
         return self._check(addr, interp, 'store')
 
     def on_free(self, addr, ok, interp):

@@ -39,6 +39,44 @@ class MemoryCheckLogic:
         self._stack_limit = memory.stack_limit
         self._heap_base = allocator.heap_base
         self._monitor_base = memory.monitor_base
+        self.global_ok = self._global_bitmap()
+
+    def _global_bitmap(self):
+        """One byte per word of ``[0, monitor_base)``: 1 where the
+        globals interval check passes.
+
+        The globals layout never changes during a run, so the checkers'
+        hooks answer a global access with one index instead of a
+        bisect.  Word ``a`` passes when the object with the last base
+        ``<= a`` covers it, so each object marks only the span up to
+        the next object's base -- the same verdict as the bisect.
+        """
+        end = self._monitor_base
+        ok = bytearray(end)
+        bases, limits = self._global_bases, self._global_limits
+        for index, base in enumerate(bases):
+            stop = limits[index]
+            if index + 1 < len(bases):
+                stop = min(stop, bases[index + 1])
+            start, stop = max(base, 0), min(stop, end)
+            if start < stop:
+                ok[start:stop] = b'\x01' * (stop - start)
+        return bytes(ok)
+
+    def access_kind(self, addr):
+        """:meth:`classify` for an address below ``stack_limit``.
+
+        The checkers' hooks answer stack accesses themselves; this
+        answers the monitor area and the globals in O(1) (region
+        compares plus one ``global_ok`` index) and leaves only heap
+        addresses, whose state malloc/free change, to :meth:`classify`.
+        """
+        if addr >= self._heap_base:
+            return self.classify(addr)
+        if addr >= self._monitor_base \
+                or (addr >= 0 and self.global_ok[addr]):
+            return OK
+        return ReportKind.OVERRUN
 
     def classify(self, addr):
         """Return ``None`` if the access is legal, else a ReportKind."""

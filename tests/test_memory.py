@@ -2,7 +2,15 @@
 
 import pytest
 
+from repro.apps.registry import get_app
+from repro.core.cmp_detailed import _NTView, _Segment, _TakenView
+from repro.core.config import PathExpanderConfig
+from repro.core.engine import PathExpanderEngine
 from repro.cpu.exceptions import FaultKind, SimFault
+from repro.cpu.fastinterp import FastInterpreter, block_code_cache
+from repro.cpu.syscalls import IOContext
+from repro.isa.instructions import Instr, Reg, Syscall
+from repro.isa.program import Program
 from repro.memory.allocator import RED_ZONE, HeapAllocator
 from repro.memory.cache import COMMITTED, Cache
 from repro.memory.main_memory import NULL_GUARD, MainMemory
@@ -86,6 +94,93 @@ class TestMainMemory:
         mem = MainMemory(size=4096, globals_size=64)
         mem.store_string(200, 'hello')
         assert mem.load_string(200) == 'hello'
+
+
+class TestSparseCells:
+    """The backing store holds only written words; the rest read 0."""
+
+    def test_fresh_memory_holds_no_words(self):
+        mem = MainMemory(size=1 << 20)
+        assert len(mem.cells) == 0
+        assert mem.size == 1 << 20
+
+    def test_unwritten_words_read_zero_without_inserting(self):
+        mem = MainMemory(size=4096, globals_size=64)
+        mem.write(300, 65)
+        assert mem.read(301) == 0
+        assert mem.read_block(299, 4) == [0, 65, 0, 0]
+        assert mem.load_string(300) == 'A'
+        assert mem.cells[2000] == 0
+        assert dict(mem.cells) == {300: 65}
+
+    def test_detailed_cmp_views_read_zero_without_inserting(self):
+        mem = MainMemory(size=4096, globals_size=64)
+        segments = [_Segment(1)]
+        taken = _TakenView(mem, segments)
+        nt = _NTView(mem, tuple(segments))
+        assert taken.read(1500) == 0
+        assert nt.read(1501) == 0
+        assert len(mem.cells) == 0
+
+    def test_fast_block_load_reads_zero_without_inserting(self):
+        # ld from a never-written word inside a fused block.
+        untouched = 3000
+        code = [Instr('li', 4, untouched), Instr('ld', 5, 4, 0),
+                Instr('addi', 5, 5, 7), Instr('mov', Reg.A1, 5),
+                Instr('syscall', Syscall.PRINT_INT), Instr('halt')]
+        program = Program(code, {'main': 0}, 0, 64, name='sparse_ld')
+        block_code_cache.clear()
+        config = PathExpanderConfig(mode='baseline', backend='fast')
+        io = IOContext()
+        engine = PathExpanderEngine(program, config=config, io=io)
+        result = engine.run()
+        assert isinstance(engine.interp, FastInterpreter)
+        assert engine.interp.block_count > 0
+        assert block_code_cache.compiled_blocks > 0
+        assert result.int_output == [7]
+        assert untouched not in engine.memory.cells
+
+    @pytest.mark.parametrize('addr, kind', [
+        (0, FaultKind.NULL_ACCESS),
+        (NULL_GUARD - 1, FaultKind.NULL_ACCESS),
+        (-1, FaultKind.NULL_ACCESS),
+        (4096, FaultKind.MEM_OOB),
+    ])
+    def test_faults_at_region_edges(self, addr, kind):
+        mem = MainMemory(size=4096, globals_size=64)
+        for access in (lambda: mem.read(addr), lambda: mem.write(addr, 1)):
+            with pytest.raises(SimFault) as excinfo:
+                access()
+            assert excinfo.value.kind == kind
+        assert len(mem.cells) == 0
+
+    def test_journaled_first_write_rolls_back_to_zero(self):
+        mem = MainMemory(size=4096, globals_size=64)
+        mem.begin_journal()
+        mem.write(700, 9)
+        assert mem.read(700) == 9
+        assert mem.rollback() == 1
+        assert mem.read(700) == 0
+        assert mem.cells == {}
+
+    def test_equality_compares_contents(self):
+        mem = MainMemory(size=4096, globals_size=64)
+        mem.write(800, 0)
+        mem.write(801, 3)
+        assert mem.cells == {801: 3}
+        assert not mem.cells != {801: 3}
+        assert mem.cells != {801: 4}
+        assert mem.cells != [0] * 4096
+
+    def test_app_run_touches_few_words(self):
+        app = get_app('schedule')
+        text, ints = app.default_input()
+        engine = PathExpanderEngine(
+            app.compile(), config=app.make_config(),
+            io=IOContext(text_input=text, int_input=ints))
+        engine.run()
+        touched = len(engine.memory.cells)
+        assert 0 < touched < engine.memory.size // 64
 
 
 class TestAllocator:

@@ -4,6 +4,8 @@
   oracle on randomly generated expressions;
 * the memory journal rollback is an exact inverse of any write
   sequence;
+* the CCured/iWatcher hooks' O(1) region tests give the verdict and
+  cost that ``MemoryCheckLogic.classify`` implies, for any address;
 * the allocator never hands out overlapping objects and survives
   snapshot/restore round trips;
 * the cache's volatile accounting is consistent under random access
@@ -19,9 +21,13 @@ from hypothesis import strategies as st
 from repro.btb.btb import COUNTER_MAX, BranchTargetBuffer
 from repro.core.config import Mode, PathExpanderConfig
 from repro.core.runner import run_program
+from repro.detectors.base import ReportKind
+from repro.detectors.ccured import CCuredDetector
+from repro.detectors.iwatcher import IWatcherDetector
+from repro.detectors.memcheck import MemoryCheckLogic
 from repro.memory.allocator import HeapAllocator
 from repro.memory.cache import Cache
-from repro.memory.main_memory import MainMemory
+from repro.memory.main_memory import NULL_GUARD, MainMemory
 from repro.minic.codegen import compile_minic
 from tests.conftest import run_minic
 
@@ -109,7 +115,7 @@ class TestJournalProperties:
         assert all(not mem.in_monitor_area(a) for a, _v in writes)
         for addr in range(400, 501):
             mem.write(addr, addr * 7)
-        before = list(mem.cells)
+        before = dict(mem.cells)
         mem.begin_journal()
         for addr, value in writes:
             mem.write(addr, value)
@@ -134,6 +140,117 @@ class TestJournalProperties:
 
 # ---------------------------------------------------------------------
 # allocator
+
+# ---------------------------------------------------------------------
+# checker classification
+
+_CHECKED_SRC = '''
+int a[3];
+char tag[5];
+int b;
+int table[7];
+int main() { return 0; }
+'''
+
+
+class _HookInterp:
+    """The interpreter attributes a detector's report path reads."""
+
+    in_nt_path = False
+
+    class core:
+        pc = 0
+
+    def __init__(self, program):
+        self.program = program
+
+
+def _checked_layout():
+    """Globals with gaps, a live and a freed heap object, the monitor
+    area and the stack, laid out as an engine lays them out."""
+    program = compile_minic(_CHECKED_SRC, name='checked')
+    memory = MainMemory(size=1 << 14, globals_size=program.globals_size,
+                        stack_words=1 << 10)
+    allocator = HeapAllocator(memory.heap_base, memory.stack_limit)
+    live = allocator.malloc(6)
+    freed = allocator.malloc(4)
+    allocator.malloc(3)
+    allocator.free(freed)
+    return program, memory, allocator, live, freed
+
+
+_LAYOUT = _checked_layout()
+
+
+def _address_strategy():
+    _program, memory, _allocator, live, freed = _LAYOUT
+    return st.one_of(
+        st.integers(-20, memory.monitor_limit + 4),      # globals, monitor
+        st.integers(live - 4, freed + 12),               # heap objects
+        st.integers(memory.stack_limit - 4, memory.size + 4),
+        st.integers(-memory.size, 2 * memory.size))
+
+
+class TestCheckerClassification:
+    def test_layout_has_every_region(self):
+        program, memory, allocator, live, freed = _LAYOUT
+        logic = MemoryCheckLogic(program, memory, allocator)
+        kinds = {logic.classify(addr) for addr in range(memory.size)}
+        assert kinds == {None, ReportKind.OVERRUN, ReportKind.DANGLING,
+                         ReportKind.WILD}
+        gaps = [addr for addr in range(NULL_GUARD, memory.monitor_base)
+                if logic.classify(addr) is not None]
+        assert gaps
+
+    def test_global_bitmap_matches_bisect(self):
+        program, memory, allocator, _live, _freed = _LAYOUT
+        logic = MemoryCheckLogic(program, memory, allocator)
+        assert len(logic.global_ok) == memory.monitor_base
+        for addr in range(memory.monitor_base):
+            assert bool(logic.global_ok[addr]) == \
+                (logic.classify(addr) is None)
+
+    def test_global_bitmap_matches_bisect_on_overlaps(self):
+        # The compiler never overlaps globals, but the bitmap must
+        # still give the bisect's verdict: the object with the last
+        # base at or below an address decides.
+        class Overlapping:
+            global_objects = [('outer', 20, 10), ('inner', 22, 2),
+                              ('twin', 40, 3), ('twin2', 40, 6)]
+        memory = MainMemory(size=4096, globals_size=64)
+        allocator = HeapAllocator(memory.heap_base, memory.stack_limit)
+        logic = MemoryCheckLogic(Overlapping, memory, allocator)
+        for addr in range(memory.monitor_base):
+            assert bool(logic.global_ok[addr]) == \
+                (logic.classify(addr) is None), addr
+        assert not logic.global_ok[25] and logic.global_ok[45]
+
+    @_SETTINGS
+    @given(st.lists(_address_strategy(), min_size=1, max_size=40),
+           st.booleans())
+    def test_hooks_agree_with_classify(self, addrs, store):
+        program, memory, allocator, _live, _freed = _LAYOUT
+        logic = MemoryCheckLogic(program, memory, allocator)
+        interp = _HookInterp(program)
+        for addr in addrs:
+            kind = logic.classify(addr)
+            expected = [] if kind is None else [kind]
+
+            ccured = CCuredDetector()
+            ccured.attach(program, memory, allocator)
+            hook = ccured.on_store if store else ccured.on_load
+            assert hook(addr, 0, interp) == ccured.check_cost
+            assert ccured.checks_performed == 1
+            assert [r.kind for r in ccured.reports] == expected
+
+            iwatcher = IWatcherDetector()
+            iwatcher.attach(program, memory, allocator)
+            hook = iwatcher.on_store if store else iwatcher.on_load
+            cost = hook(addr, 0, interp)
+            assert cost == (0 if kind is None else iwatcher.trigger_cost)
+            assert iwatcher.triggers == len(expected)
+            assert [r.kind for r in iwatcher.reports] == expected
+
 
 class TestAllocatorProperties:
     @_SETTINGS
