@@ -53,14 +53,12 @@ class MemoryCheckLogic:
         """
         end = self._monitor_base
         ok = bytearray(end)
-        bases, limits = self._global_bases, self._global_limits
-        for index, base in enumerate(bases):
-            stop = limits[index]
-            if index + 1 < len(bases):
-                stop = min(stop, bases[index + 1])
-            start, stop = max(base, 0), min(stop, end)
-            if start < stop:
-                ok[start:stop] = b'\x01' * (stop - start)
+        bases = self._global_bases
+        for base, limit, next_base in zip(bases, self._global_limits,
+                                          bases[1:] + [end]):
+            stop = min(limit, next_base, end)
+            if base < stop:
+                ok[base:stop] = b'\x01' * (stop - base)
         return bytes(ok)
 
     def access_kind(self, addr):
